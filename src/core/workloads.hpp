@@ -10,10 +10,10 @@
 ///
 /// The paper's Table 1 "modeled and simulated a target system by changing
 /// the traffic patterns of the masters" over a 4-master platform.  The
-/// original master mixes are not public; DESIGN.md §2 documents this
-/// reconstruction: three traffic classes (CPU-dominated, DMA-heavy,
-/// RT-stream mix), four parameter variations each — twelve rows, matching
-/// the table's shape (3 groups x 4 rows + summary).
+/// original master mixes are not public, so this is a reconstruction: three
+/// traffic classes (CPU-dominated, DMA-heavy, RT-stream mix), four parameter
+/// variations each — twelve rows, matching the table's shape (3 groups x 4
+/// rows + summary).  workloads.cpp lists each row's masters and knobs.
 
 namespace ahbp::core {
 

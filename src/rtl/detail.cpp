@@ -6,8 +6,14 @@
 namespace ahbp::rtl {
 
 namespace {
+// Appending (rather than `"x" + std::to_string(i)`) sidesteps a GCC 12
+// -Wrestrict false positive at -O3.
 std::string dname(unsigned i, const char* leaf) {
-  return "d" + std::to_string(i) + "." + leaf;
+  std::string name = "d";
+  name += std::to_string(i);
+  name += '.';
+  name += leaf;
+  return name;
 }
 }  // namespace
 

@@ -66,7 +66,7 @@ RtlFabric::RtlFabric(const RtlFabricConfig& cfg,
     };
     master->bind_clock(clock_.signal());
     rtl_masters_.push_back(std::move(master));
-    master_profiles_[m].name = "M" + std::to_string(m);
+    master_profiles_[m].name = stats::master_name(m);
   }
 
   wbuf_ = std::make_unique<RtlWriteBuffer>(kernel_, cfg_.bus, masters_, sh_,

@@ -5,8 +5,14 @@
 namespace ahbp::rtl {
 
 namespace {
+// Appending (rather than `"x" + std::to_string(i)`) sidesteps a GCC 12
+// -Wrestrict false positive at -O3.
 std::string mname(unsigned i, const char* leaf) {
-  return "m" + std::to_string(i) + "." + leaf;
+  std::string name = "m";
+  name += std::to_string(i);
+  name += '.';
+  name += leaf;
+  return name;
 }
 }  // namespace
 

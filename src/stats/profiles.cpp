@@ -20,6 +20,14 @@ std::string txn_label(const ahb::Transaction& t, bool buffered) {
 
 }  // namespace
 
+std::string master_name(unsigned m) {
+  // Appending (rather than `"M" + std::to_string(m)`) sidesteps a GCC 12
+  // -Wrestrict false positive at -O3.
+  std::string name = "M";
+  name += std::to_string(m);
+  return name;
+}
+
 void MasterProfile::record(const ahb::Transaction& t, bool buffered) {
   if (t.dir == ahb::Dir::kRead) {
     ++reads;

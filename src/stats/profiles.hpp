@@ -26,6 +26,9 @@ class Timeline;
 
 namespace ahbp::stats {
 
+/// Report name of master `m` ("M0", "M1", ...), the same in both models.
+std::string master_name(unsigned m);
+
 /// Per-master port profile, fed by the transaction ports.
 struct MasterProfile {
   std::string name;

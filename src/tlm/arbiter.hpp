@@ -18,8 +18,10 @@
 ///
 /// §3.3: "seven arbitration filters are implemented and they are always
 /// activated without the consideration of master / slave combinations."
-/// The Samsung-internal filter definitions are not public; DESIGN.md §5.3
-/// documents our reconstruction.  Each filter narrows the candidate set; a
+/// The Samsung-internal filter definitions are not public; this is a
+/// reconstruction with seven stages in fixed order: request, lock, urgency,
+/// bank affinity, QoS budget, round-robin, priority (`ahb::FilterBit`, one
+/// class each in arbiter.cpp).  Each filter narrows the candidate set; a
 /// filter that would empty a non-empty set passes it through unchanged
 /// (except the request filter, which defines the base set).  The final
 /// priority filter always leaves exactly one candidate, so arbitration is

@@ -36,8 +36,8 @@ struct TrafficItem {
 
 using Script = std::vector<TrafficItem>;
 
-/// Pattern archetypes (see DESIGN.md §2 for the mapping onto the paper's
-/// master mixes).
+/// Pattern archetypes.  The Table-1 rows (core/workloads.hpp) mix them into
+/// the paper's CPU-dominated, DMA-heavy and RT-stream master sets.
 enum class PatternKind : std::uint8_t {
   kCpu = 0,      ///< cache-line fills/evictions, locality, think time
   kDma = 1,      ///< long back-to-back bursts sweeping memory

@@ -246,6 +246,45 @@ TEST(SweepRunner, BothModelsProduceAccuracyColumn) {
   EXPECT_NE(text.find("error"), std::string::npos);
 }
 
+TEST(SweepRunner, WarmForkWithDemotionDeterministicAcrossJobCounts) {
+  // A swept seed reshapes master0's stimulus prefix, so those points cannot
+  // fork from the warm base: the runner demotes them to cold runs, and the
+  // flag lands in the per-point CSV identically at any worker count.
+  const auto spec = sweep::parse_spec(R"(
+base = table1/cpu-1
+
+[master *]
+items = 40
+
+[sweep]
+master0.seed = 1, 7
+master0.items = 40, 44, 48
+)");
+  const auto points = sweep::expand(spec);
+  ASSERT_EQ(points.size(), 6u);
+  const sim::Cycle warmup = 400;
+
+  const auto seq = sweep::SweepRunner(1).run(points, sweep::Model::kTlm,
+                                             spec.base_config, warmup);
+  const auto par = sweep::SweepRunner(4).run(points, sweep::Model::kTlm,
+                                             spec.base_config, warmup);
+  const auto csv = [](const std::vector<sweep::PointOutcome>& o) {
+    std::ostringstream os;
+    sweep::write_point_csv(os, o, sweep::Model::kTlm);
+    return os.str();
+  };
+  EXPECT_EQ(csv(seq), csv(par));
+  // seed=1 is the base's own seed (forks exactly); seed=7 diverges.
+  std::size_t demoted = 0;
+  for (const auto& o : par) {
+    EXPECT_TRUE(o.error.empty()) << o.index << ": " << o.error;
+    demoted += o.demoted ? 1 : 0;
+  }
+  EXPECT_EQ(demoted, 3u);
+  EXPECT_FALSE(par[0].demoted);  // seed=1 points fork clean
+  EXPECT_TRUE(par[3].demoted);   // seed=7 points run cold
+}
+
 TEST(SweepRunner, FailedPointIsReportedNotFatal) {
   // max_cycles too small to drain: the run "fails" (finished == false) but
   // the sweep still completes and reports it.

@@ -9,25 +9,29 @@
 //   ahbp_sim list
 //   ahbp_sim show <scenario>
 //   ahbp_sim run <scenario> [--model tlm|rtl|both] [--items N] [--seed S]
-//                           [--vcd FILE] [--capture-trace DIR] [--csv]
-//                           [--quiet] [--timeline FILE] [--stats-json FILE]
-//                           [--progress] [--self-profile]
+//                           [--vcd FILE] [--capture-trace DIR]
+//                           [--trace-format text|bin] [--register NAME]
+//                           [--csv] [--quiet] [--timeline FILE]
+//                           [--stats-json FILE] [--progress] [--self-profile]
 //   ahbp_sim checkpoint <scenario> --at N --out FILE [--model tlm|rtl]
 //   ahbp_sim resume <checkpoint> [--vcd FILE] [--csv] [--quiet]
-//   ahbp_sim sweep <spec> [--jobs N | --farm-workers N]
-//                         [--model tlm|rtl|both] [--csv FILE]
+//   ahbp_sim sweep <spec> [--jobs N] [--model tlm|rtl|both] [--csv FILE]
 //                         [--warmup-cycles N] [--speed] [--progress]
-//                         [--sensitivity]
+//                         [--sensitivity] [--max-cycle-error P]
 //   ahbp_sim lint <scenario|sweep> [--warmup-cycles N] [--strict]
 //   ahbp_sim trace info <file>
 //   ahbp_sim trace convert <file> --out FILE [--to text|bin]
 //   ahbp_sim trace slice <file> --out FILE --first N [--count K]
 //                               [--to text|bin]
+//
+// Every option is one row of `kOptions` (its name, the commands that take
+// it, its value kind and check) and every command one row of `kCommands`;
+// `main` is a single parse loop over the two tables.
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -35,14 +39,11 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
-
-#include <unistd.h>
 
 #include "core/checkpoint.hpp"
 #include "core/platform.hpp"
-#include "farm/coordinator.hpp"
-#include "farm/worker.hpp"
 #include "obs/selfprof.hpp"
 #include "obs/timeline.hpp"
 #include "scenario/registry.hpp"
@@ -110,14 +111,7 @@ int usage(std::ostream& os, int code) {
         "  sweep <spec>              expand and run a sweep file\n"
         "      --jobs N              worker threads (default 1, 0 = all"
         " cores)\n"
-        "      --farm-workers N      shard points across N worker"
-        " *processes*\n"
-        "                            instead of threads: the base is warmed\n"
-        "                            once, snapshot bytes ship to each"
-        " worker,\n"
-        "                            dead workers' points are re-issued;\n"
-        "                            output is byte-identical to --jobs\n"
-        "      --sensitivity         per-axis report after the table: how"
+          "      --sensitivity         per-axis report after the table: how"
         " far\n"
         "                            cycles moved when only that axis"
         " varied\n"
@@ -166,7 +160,243 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-void print_run(const core::SimResult& r, bool csv, bool quiet) {
+// ---------------------------------------------------------------- options --
+
+/// Every option value of one invocation; an option left off keeps the
+/// default here.
+struct Options {
+  std::vector<std::string> positionals;
+  std::string model = "tlm";
+  std::uint64_t items = 0;  // 0 = the scenario's default
+  std::uint64_t seed = 0;   // 0 = the scenario's default
+  std::string vcd;
+  std::string capture_dir;
+  std::string trace_format = "text";  // run --trace-format
+  std::string register_name;
+  std::string timeline;
+  std::string stats_json;
+  bool csv = false;  // run/resume: the on-screen report as CSV
+  bool quiet = false;
+  bool progress = false;
+  bool self_profile = false;
+  std::uint64_t at = 0;  // 0 = the scenario's [checkpoint] at_cycle
+  std::string out;
+  std::string to;  // trace --to; empty = the action's default format
+  std::uint64_t first = 0;
+  std::uint64_t count = ~std::uint64_t{0};
+  std::uint64_t jobs = 1;
+  std::string csv_path;  // sweep --csv FILE
+  bool speed = false;
+  bool sensitivity = false;
+  double max_cycle_error = -1.0;  // negative = gate off
+  std::uint64_t warmup_cycles = 0;
+  bool strict = false;
+};
+
+/// One bit per command, so an option row can name every command taking it.
+enum Cmd : unsigned {
+  kList = 1U << 0,
+  kHelp = 1U << 1,
+  kShow = 1U << 2,
+  kRun = 1U << 3,
+  kCheckpoint = 1U << 4,
+  kResume = 1U << 5,
+  kSweep = 1U << 6,
+  kLint = 1U << 7,
+  kTrace = 1U << 8,
+};
+
+/// What follows an option on the command line, and how it is checked.
+enum class Kind {
+  kFlag,      // nothing
+  kUnsigned,  // digits only, at most `max`, nonzero when `error` is set
+  kPath,      // a file/directory path or name: not empty, no leading '-'
+  kEnum,      // one of `choices`
+  kPercent,   // a finite, non-negative number
+};
+
+struct OptionRow {
+  std::string_view name;
+  unsigned commands;  // Cmd bits of the commands that take the option
+  Kind kind;
+  /// Where the value lands; the member's type follows `kind`.
+  std::variant<bool Options::*, std::uint64_t Options::*,
+               std::string Options::*, double Options::*>
+      field;
+  std::uint64_t max;
+  std::vector<std::string_view> choices;
+  /// kUnsigned: the diagnostic for 0 (null when 0 is accepted).  kPath and
+  /// kEnum: the diagnostic for a rejected value, "{}" standing for it.
+  const char* error;
+};
+
+constexpr std::uint64_t kNoLimit = ~std::uint64_t{0};
+
+OptionRow flag(std::string_view name, unsigned cmds, bool Options::*f) {
+  return {name, cmds, Kind::kFlag, f, 0, {}, nullptr};
+}
+OptionRow number(std::string_view name, unsigned cmds,
+                 std::uint64_t Options::*f, std::uint64_t max = kNoLimit,
+                 const char* zero_error = nullptr) {
+  return {name, cmds, Kind::kUnsigned, f, max, {}, zero_error};
+}
+OptionRow path(std::string_view name, unsigned cmds, std::string Options::*f,
+               const char* error) {
+  return {name, cmds, Kind::kPath, f, 0, {}, error};
+}
+OptionRow choice(std::string_view name, unsigned cmds,
+                 std::string Options::*f,
+                 std::vector<std::string_view> choices, const char* error) {
+  return {name, cmds, Kind::kEnum, f, 0, std::move(choices), error};
+}
+OptionRow percent(std::string_view name, unsigned cmds, double Options::*f) {
+  return {name, cmds, Kind::kPercent, f, 0, {}, nullptr};
+}
+
+// A name may have several rows when it means different things to different
+// commands (`--csv` is a flag for run/resume and a path for sweep).
+const OptionRow kOptions[] = {
+    choice("--model", kRun | kSweep, &Options::model, {"tlm", "rtl", "both"},
+           "unknown model '{}' (tlm, rtl, both)"),
+    choice("--model", kCheckpoint, &Options::model, {"tlm", "rtl"},
+           "unknown model '{}' (checkpoint snapshots one model: tlm or rtl)"),
+    number("--items", kRun | kCheckpoint, &Options::items, 100'000'000,
+           "--items must be nonzero (omit the flag for the scenario's"
+           " default)"),
+    number("--seed", kRun | kCheckpoint, &Options::seed, kNoLimit,
+           "--seed must be nonzero (omit the flag for the scenario's"
+           " default)"),
+    path("--vcd", kRun | kResume, &Options::vcd,
+         "--vcd needs a file path, got '{}'"),
+    path("--capture-trace", kRun, &Options::capture_dir,
+         "--capture-trace needs a directory path, got '{}'"),
+    choice("--trace-format", kRun, &Options::trace_format, {"text", "bin"},
+           "--trace-format must be text or bin, got '{}'"),
+    path("--register", kRun, &Options::register_name,
+         "--register needs a workload name, got '{}'"),
+    flag("--csv", kRun | kResume, &Options::csv),
+    path("--csv", kSweep, &Options::csv_path,
+         "sweep --csv needs a file path, got '{}'"),
+    flag("--quiet", kRun | kResume, &Options::quiet),
+    path("--timeline", kRun, &Options::timeline,
+         "--timeline needs a file path, got '{}'"),
+    path("--stats-json", kRun, &Options::stats_json,
+         "--stats-json needs a file path, got '{}'"),
+    flag("--progress", kRun | kSweep, &Options::progress),
+    flag("--self-profile", kRun, &Options::self_profile),
+    number("--at", kCheckpoint, &Options::at, kNoLimit,
+           "--at must be a nonzero cycle"),
+    path("--out", kCheckpoint | kTrace, &Options::out,
+         "--out needs a file path, got '{}'"),
+    choice("--to", kTrace, &Options::to, {"text", "bin"},
+           "--to must be text or bin, got '{}'"),
+    number("--first", kTrace, &Options::first),
+    number("--count", kTrace, &Options::count),
+    number("--jobs", kSweep, &Options::jobs, 4096),
+    flag("--speed", kSweep, &Options::speed),
+    flag("--sensitivity", kSweep, &Options::sensitivity),
+    percent("--max-cycle-error", kSweep, &Options::max_cycle_error),
+    number("--warmup-cycles", kSweep | kLint, &Options::warmup_cycles),
+    flag("--strict", kLint, &Options::strict),
+};
+
+/// The row for `name` that `cmd` takes, else any row for `name` (so its
+/// value is still consumed and checked before "does not take" is reported),
+/// else null.
+const OptionRow* find_option(std::string_view name, unsigned cmd) {
+  const OptionRow* any = nullptr;
+  for (const OptionRow& row : kOptions) {
+    if (row.name == name) {
+      if ((row.commands & cmd) != 0) {
+        return &row;
+      }
+      any = any != nullptr ? any : &row;
+    }
+  }
+  return any;
+}
+
+/// Print `error` with its "{}" replaced by `value`.
+void print_error(std::string_view error, std::string_view value) {
+  const std::size_t at = error.find("{}");
+  std::cerr << error.substr(0, at) << value << error.substr(at + 2) << "\n";
+}
+
+/// Check `value` against `row` and store it in `o`; print the diagnostic
+/// and return false when the value is rejected.
+bool set_option(const OptionRow& row, const std::string& value, Options& o) {
+  switch (row.kind) {
+    case Kind::kFlag:
+      o.*std::get<bool Options::*>(row.field) = true;
+      return true;
+    case Kind::kUnsigned: {
+      // Digits only: "-1" must not wrap to a huge count and try to
+      // generate billions of transactions.
+      std::uint64_t x = 0;
+      const char* last = value.data() + value.size();
+      const auto [end, ec] = std::from_chars(value.data(), last, x);
+      if (end != last || ec == std::errc::invalid_argument) {
+        std::cerr << row.name << " needs a non-negative integer, got '"
+                  << value << "'\n";
+        return false;
+      }
+      if (ec != std::errc{} || x > row.max) {
+        std::cerr << row.name << " value out of range: '" << value << "'\n";
+        return false;
+      }
+      if (x == 0 && row.error != nullptr) {
+        std::cerr << row.error << "\n";
+        return false;
+      }
+      o.*std::get<std::uint64_t Options::*>(row.field) = x;
+      return true;
+    }
+    case Kind::kPath:
+      // `--vcd --quiet` must not write a waveform called "--quiet".
+      if (value.empty() || value[0] == '-') {
+        print_error(row.error, value);
+        return false;
+      }
+      o.*std::get<std::string Options::*>(row.field) = value;
+      return true;
+    case Kind::kEnum:
+      if (std::find(row.choices.begin(), row.choices.end(), value) ==
+          row.choices.end()) {
+        print_error(row.error, value);
+        return false;
+      }
+      o.*std::get<std::string Options::*>(row.field) = value;
+      return true;
+    case Kind::kPercent: {
+      // `x >= 0.0` also rejects NaN, which would silently disable the gate
+      // (any comparison against NaN is false).
+      std::size_t pos = 0;
+      double x = -1.0;
+      try {
+        x = std::stod(value, &pos);
+      } catch (const std::exception&) {
+        pos = std::string::npos;  // not a number at all
+      }
+      if (pos != value.size() || !(x >= 0.0) || !std::isfinite(x)) {
+        std::cerr << row.name << " needs a non-negative percentage, got '"
+                  << value << "'\n";
+        return false;
+      }
+      o.*std::get<double Options::*>(row.field) = x;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The validated --model value as a sweep model (run, sweep).
+sweep::Model sweep_model(const Options& o) {
+  sweep::Model m = sweep::Model::kTlm;
+  sweep::model_from_string(o.model, m);  // kOptions admits only valid names
+  return m;
+}
+
+void print_run(const core::SimResult& r, const Options& o) {
   std::cout << r.model << ": " << (r.finished ? "finished" : "TIMED OUT")
             << " at cycle " << r.cycles << ", " << r.completed
             << " transactions, " << r.protocol_errors << " protocol errors, "
@@ -175,11 +405,11 @@ void print_run(const core::SimResult& r, bool csv, bool quiet) {
   if (r.protocol_errors != 0 && !r.first_violations.empty()) {
     std::cout << r.first_violations << "\n";
   }
-  if (quiet) {
+  if (o.quiet) {
     return;
   }
   std::cout << "\n";
-  if (csv) {
+  if (o.csv) {
     stats::print_csv(std::cout, r.profile);
   } else {
     stats::print_report(std::cout, r.profile, r.model + " run profile");
@@ -204,6 +434,33 @@ void run_to_checkpoint(core::Platform& p, const core::PlatformConfig& cfg,
   }
 }
 
+/// Open `path` for writing into `os`; print the diagnostic when that fails.
+bool open_output(std::ofstream& os, const std::string& path) {
+  os.open(path);
+  if (!os) {
+    std::cerr << "cannot open '" << path << "' for writing\n";
+  }
+  return static_cast<bool>(os);
+}
+
+/// Write `script` to `path` in `format` ("text" or "bin").
+void write_trace_file(const std::string& path, const std::string& format,
+                      const traffic::Script& script) {
+  std::ofstream os(path,
+                   format == "bin" ? std::ios::binary : std::ios::out);
+  if (!os) {
+    throw std::runtime_error("cannot open '" + path + "' for writing");
+  }
+  if (format == "bin") {
+    traffic::save_trace_bin(os, script);
+  } else {
+    traffic::save_trace(os, script);
+  }
+  if (!os) {
+    throw std::runtime_error("error writing '" + path + "'");
+  }
+}
+
 /// Write every master's captured stream to `dir`/masterK.trace plus a
 /// ready-to-run `dir`/replay.scenario whose masters replay the captures.
 /// `format` picks the trace encoding ("text" or "bin"); replay
@@ -213,22 +470,12 @@ void write_capture_dir(const core::Platform& p,
                        const std::string& dir, const std::string& format) {
   namespace fs = std::filesystem;
   fs::create_directories(dir);
-  const bool bin = format == "bin";
   core::PlatformConfig replay = cfg;
   for (std::size_t m = 0; m < cfg.masters.size(); ++m) {
     const std::string path =
         (fs::path(dir) / ("master" + std::to_string(m) + ".trace")).string();
-    std::ofstream os(path, bin ? std::ios::binary : std::ios::out);
-    if (!os) {
-      throw std::runtime_error("cannot open '" + path + "' for writing");
-    }
-    const traffic::Script& captured =
-        p.capture(static_cast<ahb::MasterId>(m)).captured();
-    if (bin) {
-      traffic::save_trace_bin(os, captured);
-    } else {
-      traffic::save_trace(os, captured);
-    }
+    write_trace_file(path, format,
+                     p.capture(static_cast<ahb::MasterId>(m)).captured());
     traffic::StimulusSpec& spec = replay.masters[m].traffic;
     spec.source = traffic::StimulusSource::kTrace;
     spec.trace_path = path;
@@ -243,46 +490,6 @@ void write_capture_dir(const core::Platform& p,
   std::cout << "captured " << cfg.masters.size() << " master trace(s) to "
             << dir << "\nreplay with: ahbp_sim run " << scn
             << " [--model tlm|rtl|both]\n";
-}
-
-/// One model's share of `run`: checkpoint mid-flight when the scenario
-/// asks for it, capture when requested, then run to completion.  `tl` and
-/// `sp` may be shared between both models of a `--model both` run (each
-/// model registers its own timeline process / "tlm."-vs-"rtl." phases).
-core::SimResult run_model(const core::PlatformConfig& cfg,
-                          core::ModelKind kind, std::ostream* vcd_os,
-                          const std::string& capture_dir,
-                          const std::string& capture_format,
-                          const std::string& checkpoint_path,
-                          obs::Timeline* tl, obs::SelfProfiler* sp,
-                          bool progress) {
-  core::Platform p(cfg, kind);
-  if (vcd_os != nullptr) {
-    p.enable_vcd(*vcd_os);
-  }
-  if (!capture_dir.empty()) {
-    p.enable_capture();
-  }
-  if (tl != nullptr) {
-    p.enable_timeline(*tl);
-  }
-  if (sp != nullptr) {
-    p.enable_self_profile(*sp);
-  }
-  if (progress) {
-    p.set_progress(&std::cerr);
-  }
-  if (cfg.checkpoint.enabled()) {
-    run_to_checkpoint(p, cfg, cfg.checkpoint.at_cycle, checkpoint_path);
-  }
-  p.run_to_completion();
-  if (tl != nullptr) {
-    tl->finalize(p.now());
-  }
-  if (!capture_dir.empty()) {
-    write_capture_dir(p, cfg, capture_dir, capture_format);
-  }
-  return p.result();
 }
 
 /// Render the self-profiler's per-phase table (sorted by registration
@@ -305,7 +512,11 @@ void print_self_profile(const obs::SelfProfiler& sp) {
   std::cout << "\n";
 }
 
-int cmd_list() {
+// --------------------------------------------------------------- commands --
+
+int cmd_help(const Options& /*o*/) { return usage(std::cout, 0); }
+
+int cmd_list(const Options& /*o*/) {
   stats::TextTable t({"name", "description"});
   for (const auto& e : scenario::ScenarioRegistry::builtin().entries()) {
     t.add_row({e.name, e.description});
@@ -335,47 +546,39 @@ int cmd_list() {
   return 0;
 }
 
-int cmd_show(const std::string& name) {
-  std::cout << scenario::serialize(scenario::load_scenario(name));
+int cmd_show(const Options& o) {
+  std::cout << scenario::serialize(scenario::load_scenario(o.positionals[0]));
   return 0;
 }
 
-int cmd_run(const std::string& name, const std::string& model_s,
-            unsigned items, std::uint64_t seed, const std::string& vcd_path,
-            std::string capture_dir, const std::string& capture_format,
-            const std::string& register_name, bool csv, bool quiet,
-            const std::string& timeline_path,
-            const std::string& stats_json_path, bool progress,
-            bool self_profile) {
-  sweep::Model model = sweep::Model::kTlm;
-  if (!sweep::model_from_string(model_s, model)) {
-    std::cerr << "unknown model '" << model_s << "' (tlm, rtl, both)\n";
-    return 2;
-  }
-  if (!register_name.empty()) {
+int cmd_run(const Options& o) {
+  const std::string& name = o.positionals[0];
+  const sweep::Model model = sweep_model(o);
+  std::string capture_dir = o.capture_dir;
+  if (!o.register_name.empty()) {
     // A registered workload is just a capture installed at the well-known
     // path `run workload/NAME` resolves (scenario/registry.cpp).
     if (!capture_dir.empty()) {
       std::cerr << "--register picks the capture destination itself"
-                   " (captures/" << register_name << "); drop"
+                   " (captures/" << o.register_name << "); drop"
                    " --capture-trace\n";
       return 2;
     }
-    if (register_name.find('/') != std::string::npos ||
-        register_name.find("..") != std::string::npos ||
-        register_name[0] == '-') {
+    if (o.register_name.find('/') != std::string::npos ||
+        o.register_name.find("..") != std::string::npos) {
       std::cerr << "--register needs a plain name (no '/', '..' or leading"
-                   " '-'), got '" << register_name << "'\n";
+                   " '-'), got '" << o.register_name << "'\n";
       return 2;
     }
-    capture_dir = "captures/" + register_name;
+    capture_dir = "captures/" + o.register_name;
   }
-  const core::PlatformConfig cfg = scenario::load_scenario(name, items, seed);
+  const core::PlatformConfig cfg = scenario::load_scenario(
+      name, static_cast<unsigned>(o.items), o.seed);
   if (cfg.masters.empty()) {
     std::cerr << "scenario '" << name << "' defines no masters\n";
     return 2;
   }
-  if (!vcd_path.empty() && model == sweep::Model::kTlm) {
+  if (!o.vcd.empty() && model == sweep::Model::kTlm) {
     std::cerr << "--vcd needs the signal-level model (--model rtl|both)\n";
     return 2;
   }
@@ -385,68 +588,83 @@ int cmd_run(const std::string& name, const std::string& model_s,
                  " tlm or rtl (the capture replays in both)\n";
     return 2;
   }
-  if (capture_format != "text" && capture_format != "bin") {
-    std::cerr << "--trace-format must be text or bin, got '" << capture_format
-              << "'\n";
-    return 2;
-  }
 
   // A scenario [checkpoint] section makes the run snapshot mid-flight and
   // continue; resume later picks the snapshot up.  The timeline and the
   // self-profiler are shared across models: one trace file with a "tlm"
   // and an "rtl" process, one phase table with both prefixes.
   obs::Timeline timeline;
-  obs::Timeline* tl = timeline_path.empty() ? nullptr : &timeline;
   obs::SelfProfiler profiler;
-  obs::SelfProfiler* sp = self_profile ? &profiler : nullptr;
+  // One model's share of the run: checkpoint mid-flight when the scenario
+  // asks for it, capture when requested, then run to completion.
+  const auto run_model = [&](core::ModelKind kind, std::ostream* vcd_os,
+                             const std::string& checkpoint_path) {
+    core::Platform p(cfg, kind);
+    if (vcd_os != nullptr) {
+      p.enable_vcd(*vcd_os);
+    }
+    if (!capture_dir.empty()) {
+      p.enable_capture();
+    }
+    if (!o.timeline.empty()) {
+      p.enable_timeline(timeline);
+    }
+    if (o.self_profile) {
+      p.enable_self_profile(profiler);
+    }
+    if (o.progress) {
+      p.set_progress(&std::cerr);
+    }
+    if (cfg.checkpoint.enabled()) {
+      run_to_checkpoint(p, cfg, cfg.checkpoint.at_cycle, checkpoint_path);
+    }
+    p.run_to_completion();
+    if (!o.timeline.empty()) {
+      timeline.finalize(p.now());
+    }
+    if (!capture_dir.empty()) {
+      write_capture_dir(p, cfg, capture_dir, o.trace_format);
+    }
+    return p.result();
+  };
 
   core::SimResult tlm, rtl;
-  bool ran_tlm = false, ran_rtl = false;
-  if (model != sweep::Model::kRtl) {
-    tlm = run_model(cfg, core::ModelKind::kTlm, nullptr, capture_dir,
-                    capture_format, cfg.checkpoint.path, tl, sp, progress);
-    ran_tlm = true;
-    print_run(tlm, csv, quiet);
+  const bool ran_tlm = model != sweep::Model::kRtl;
+  const bool ran_rtl = model != sweep::Model::kTlm;
+  if (ran_tlm) {
+    tlm = run_model(core::ModelKind::kTlm, nullptr, cfg.checkpoint.path);
+    print_run(tlm, o);
   }
-  if (model != sweep::Model::kTlm) {
+  if (ran_rtl) {
     std::ofstream vcd;
-    std::ostream* vcd_os = nullptr;
-    if (!vcd_path.empty()) {
-      vcd.open(vcd_path);
-      if (!vcd) {
-        std::cerr << "cannot open '" << vcd_path << "' for writing\n";
-        return 2;
-      }
-      vcd_os = &vcd;
+    if (!o.vcd.empty() && !open_output(vcd, o.vcd)) {
+      return 2;
     }
     // Both models run from one scenario; keep their snapshots apart.
     const std::string ckpt_path = model == sweep::Model::kBoth
                                       ? cfg.checkpoint.path + ".rtl"
                                       : cfg.checkpoint.path;
-    rtl = run_model(cfg, core::ModelKind::kRtl, vcd_os, capture_dir,
-                    capture_format, ckpt_path, tl, sp, progress);
-    ran_rtl = true;
-    print_run(rtl, csv, quiet);
-    if (vcd_os != nullptr) {
-      std::cout << "waveform written to " << vcd_path
+    rtl = run_model(core::ModelKind::kRtl, o.vcd.empty() ? nullptr : &vcd,
+                    ckpt_path);
+    print_run(rtl, o);
+    if (!o.vcd.empty()) {
+      std::cout << "waveform written to " << o.vcd
                 << " (open with gtkwave)\n";
     }
   }
 
-  if (tl != nullptr) {
-    std::ofstream os(timeline_path);
-    if (!os) {
-      std::cerr << "cannot open '" << timeline_path << "' for writing\n";
+  if (!o.timeline.empty()) {
+    std::ofstream os;
+    if (!open_output(os, o.timeline)) {
       return 2;
     }
     timeline.write(os);
-    std::cout << "timeline written to " << timeline_path
+    std::cout << "timeline written to " << o.timeline
               << " (load in Perfetto or chrome://tracing)\n";
   }
-  if (!stats_json_path.empty()) {
-    std::ofstream os(stats_json_path);
-    if (!os) {
-      std::cerr << "cannot open '" << stats_json_path << "' for writing\n";
+  if (!o.stats_json.empty()) {
+    std::ofstream os;
+    if (!open_output(os, o.stats_json)) {
       return 2;
     }
     os << "{\"runs\": [";
@@ -460,9 +678,9 @@ int cmd_run(const std::string& name, const std::string& model_s,
       core::write_stats_json(os, rtl);
     }
     os << "]}\n";
-    std::cout << "stats written to " << stats_json_path << "\n";
+    std::cout << "stats written to " << o.stats_json << "\n";
   }
-  if (sp != nullptr) {
+  if (o.self_profile) {
     print_self_profile(profiler);
   }
   if (ran_tlm && ran_rtl && rtl.cycles != 0) {
@@ -473,30 +691,26 @@ int cmd_run(const std::string& name, const std::string& model_s,
 
   const bool ok = (!ran_tlm || (tlm.finished && tlm.protocol_errors == 0)) &&
                   (!ran_rtl || (rtl.finished && rtl.protocol_errors == 0));
-  if (ok && !register_name.empty()) {
-    std::cout << "registered workload '" << register_name
-              << "': replay with `ahbp_sim run workload/" << register_name
+  if (ok && !o.register_name.empty()) {
+    std::cout << "registered workload '" << o.register_name
+              << "': replay with `ahbp_sim run workload/" << o.register_name
               << "`\n";
   }
   return ok ? 0 : 1;
 }
 
-int cmd_checkpoint(const std::string& name, const std::string& model_s,
-                   unsigned items, std::uint64_t seed, std::uint64_t at,
-                   const std::string& out) {
+int cmd_checkpoint(const Options& o) {
+  const std::string& name = o.positionals[0];
   core::ModelKind model = core::ModelKind::kTlm;
-  if (!core::model_kind_from_string(model_s, model)) {
-    std::cerr << "unknown model '" << model_s
-              << "' (checkpoint snapshots one model: tlm or rtl)\n";
-    return 2;
-  }
-  core::PlatformConfig cfg = scenario::load_scenario(name, items, seed);
+  core::model_kind_from_string(o.model, model);  // kOptions: tlm or rtl
+  const core::PlatformConfig cfg = scenario::load_scenario(
+      name, static_cast<unsigned>(o.items), o.seed);
   if (cfg.masters.empty()) {
     std::cerr << "scenario '" << name << "' defines no masters\n";
     return 2;
   }
-  const sim::Cycle at_cycle = at != 0 ? at : cfg.checkpoint.at_cycle;
-  const std::string path = !out.empty() ? out : cfg.checkpoint.path;
+  const sim::Cycle at_cycle = o.at != 0 ? o.at : cfg.checkpoint.at_cycle;
+  const std::string path = !o.out.empty() ? o.out : cfg.checkpoint.path;
   if (at_cycle == 0 || path.empty()) {
     std::cerr << "checkpoint needs --at N and --out FILE (or a scenario"
                  " [checkpoint] section)\n";
@@ -508,8 +722,8 @@ int cmd_checkpoint(const std::string& name, const std::string& model_s,
   return 0;
 }
 
-int cmd_resume(const std::string& path, const std::string& vcd_path, bool csv,
-               bool quiet) {
+int cmd_resume(const Options& o) {
+  const std::string& path = o.positionals[0];
   state::StateReader r = state::StateReader::from_file(path);
   const core::CheckpointInfo info = core::read_checkpoint_header(r);
   core::ModelKind model = core::ModelKind::kTlm;
@@ -517,7 +731,7 @@ int cmd_resume(const std::string& path, const std::string& vcd_path, bool csv,
     std::cerr << "checkpoint names unknown model '" << info.model << "'\n";
     return 2;
   }
-  if (!vcd_path.empty() && model != core::ModelKind::kRtl) {
+  if (!o.vcd.empty() && model != core::ModelKind::kRtl) {
     std::cerr << "--vcd needs an rtl checkpoint\n";
     return 2;
   }
@@ -528,10 +742,8 @@ int cmd_resume(const std::string& path, const std::string& vcd_path, bool csv,
 
   core::Platform p(cfg, model);
   std::ofstream vcd;
-  if (!vcd_path.empty()) {
-    vcd.open(vcd_path);
-    if (!vcd) {
-      std::cerr << "cannot open '" << vcd_path << "' for writing\n";
+  if (!o.vcd.empty()) {
+    if (!open_output(vcd, o.vcd)) {
       return 2;
     }
     p.enable_vcd(vcd);
@@ -542,82 +754,44 @@ int cmd_resume(const std::string& path, const std::string& vcd_path, bool csv,
             << p.now() << " (" << path << ")\n";
   p.run_to_completion();
   const core::SimResult res = p.result();
-  print_run(res, csv, quiet);
-  if (!vcd_path.empty()) {
-    std::cout << "waveform written to " << vcd_path
-              << " (open with gtkwave)\n";
+  print_run(res, o);
+  if (!o.vcd.empty()) {
+    std::cout << "waveform written to " << o.vcd << " (open with gtkwave)\n";
   }
   return res.finished && res.protocol_errors == 0 ? 0 : 1;
 }
 
-int cmd_sweep(const std::string& path, const std::string& model_s,
-              unsigned jobs, unsigned farm_workers,
-              const std::string& csv_path, bool speed,
-              double max_cycle_error, std::uint64_t warmup_cycles,
-              bool progress, bool sensitivity) {
-  sweep::Model model = sweep::Model::kTlm;
-  if (!sweep::model_from_string(model_s, model)) {
-    std::cerr << "unknown model '" << model_s << "' (tlm, rtl, both)\n";
-    return 2;
-  }
-  if (max_cycle_error >= 0.0 && model != sweep::Model::kBoth) {
+int cmd_sweep(const Options& o) {
+  const sweep::Model model = sweep_model(o);
+  if (o.max_cycle_error >= 0.0 && model != sweep::Model::kBoth) {
     std::cerr << "--max-cycle-error needs --model both\n";
     return 2;
   }
-  const sweep::SweepSpec spec = sweep::parse_spec_file(path);
+  const sweep::SweepSpec spec = sweep::parse_spec_file(o.positionals[0]);
   const auto points = sweep::expand(spec);
   std::cout << "sweep: " << points.size() << " configurations ("
             << spec.axes.size() << " axes), base '" << spec.base << "'";
-  if (warmup_cycles > 0) {
-    std::cout << ", forked from a " << warmup_cycles
+  if (o.warmup_cycles > 0) {
+    std::cout << ", forked from a " << o.warmup_cycles
               << "-cycle warm-up of the base";
-  }
-  if (farm_workers > 0) {
-    std::cout << ", farmed across " << farm_workers << " worker process(es)";
   }
   std::cout << "\n\n";
 
+  sweep::SweepRunner runner(static_cast<unsigned>(o.jobs));
   std::mutex progress_mu;
-  std::vector<sweep::PointOutcome> outcomes;
-  if (farm_workers > 0) {
-    farm::FarmOptions opts;
-    opts.workers = farm_workers;
-    opts.warmup_cycles = warmup_cycles;
-    // Re-exec this binary as the worker so the farm exercises the same
-    // process-boundary path a remote (socketed) deployment would; if
-    // /proc/self/exe is unreadable the coordinator falls back to fork-only
-    // workers, which share the already-loaded image.
-    char exe_buf[4096];
-    const ssize_t exe_len =
-        ::readlink("/proc/self/exe", exe_buf, sizeof(exe_buf) - 1);
-    if (exe_len > 0) {
-      exe_buf[exe_len] = '\0';
-      opts.worker_command = {exe_buf, "farm-worker"};
-    }
-    if (progress) {
-      opts.progress = [&progress_mu](std::size_t done, std::size_t total) {
-        const std::lock_guard<std::mutex> lock(progress_mu);
-        std::cerr << "# sweep: " << done << "/" << total << " points done\n";
-      };
-    }
-    outcomes = farm::Coordinator(opts).run(spec, model);
-  } else {
-    sweep::SweepRunner runner(jobs);
-    if (progress) {
-      runner.set_progress(
-          [&progress_mu](std::size_t done, std::size_t total) {
-            const std::lock_guard<std::mutex> lock(progress_mu);
-            std::cerr << "# sweep: " << done << "/" << total
-                      << " points done\n";
-          });
-    }
-    outcomes = runner.run(points, model, spec.base_config, warmup_cycles);
+  if (o.progress) {
+    runner.set_progress([&progress_mu](std::size_t done, std::size_t total) {
+      const std::lock_guard<std::mutex> lock(progress_mu);
+      std::cerr << "# sweep: " << done << "/" << total << " points done\n";
+    });
   }
+  const std::vector<sweep::PointOutcome> outcomes =
+      runner.run(points, model, spec.base_config, o.warmup_cycles);
 
-  stats::TextTable table = sweep::aggregate_table(outcomes, model, speed);
+  stats::TextTable table = sweep::aggregate_table(outcomes, model, o.speed);
   table.print(std::cout);
 
-  if (sensitivity) {
+  if (o.sensitivity) {
     if (spec.axes.empty()) {
       std::cout << "\nsensitivity: the spec has no [sweep] axes — nothing"
                    " varies\n";
@@ -636,30 +810,29 @@ int cmd_sweep(const std::string& path, const std::string& model_s,
     }
   }
 
-  if (!csv_path.empty()) {
-    std::ofstream csv_os(csv_path);
-    if (!csv_os) {
-      std::cerr << "cannot open '" << csv_path << "' for writing\n";
+  if (!o.csv_path.empty()) {
+    std::ofstream csv_os;
+    if (!open_output(csv_os, o.csv_path)) {
       return 2;
     }
     sweep::write_point_csv(csv_os, outcomes, model);
-    std::cout << "\nper-point outcomes written to " << csv_path << "\n";
+    std::cout << "\nper-point outcomes written to " << o.csv_path << "\n";
   }
 
   int failures = 0;
-  for (const auto& o : outcomes) {
+  for (const auto& pt : outcomes) {
     bool bad =
-        !o.error.empty() ||
-        (o.has_tlm && (!o.tlm.finished || o.tlm.protocol_errors != 0)) ||
-        (o.has_rtl && (!o.rtl.finished || o.rtl.protocol_errors != 0));
+        !pt.error.empty() ||
+        (pt.has_tlm && (!pt.tlm.finished || pt.tlm.protocol_errors != 0)) ||
+        (pt.has_rtl && (!pt.rtl.finished || pt.rtl.protocol_errors != 0));
     // Accuracy gate: the Table-1 contract says the TLM tracks the RTL
     // cycle count; a point whose error exceeds the budget is a failure.
-    if (!bad && max_cycle_error >= 0.0 && o.has_tlm && o.has_rtl &&
-        o.cycle_error() * 100.0 > max_cycle_error) {
-      std::cout << "point " << o.index << " (" << o.label
-                << "): cycle error "
-                << stats::fmt_percent(o.cycle_error()) << " exceeds "
-                << stats::fmt_double(max_cycle_error, 2) << "%\n";
+    if (!bad && o.max_cycle_error >= 0.0 && pt.has_tlm && pt.has_rtl &&
+        pt.cycle_error() * 100.0 > o.max_cycle_error) {
+      std::cout << "point " << pt.index << " (" << pt.label
+                << "): cycle error " << stats::fmt_percent(pt.cycle_error())
+                << " exceeds " << stats::fmt_double(o.max_cycle_error, 2)
+                << "%\n";
       bad = true;
     }
     failures += bad ? 1 : 0;
@@ -681,34 +854,14 @@ traffic::Script load_any_trace(std::string_view bytes) {
   return traffic::load_trace(is, 0);
 }
 
-/// Write `script` to `path` in `format` ("text" or "bin").
-void write_trace_file(const std::string& path, const std::string& format,
-                      const traffic::Script& script) {
-  std::ofstream os(path,
-                   format == "bin" ? std::ios::binary : std::ios::out);
-  if (!os) {
-    throw std::runtime_error("cannot open '" + path + "' for writing");
-  }
-  if (format == "bin") {
-    traffic::save_trace_bin(os, script);
-  } else {
-    traffic::save_trace(os, script);
-  }
-  if (!os) {
-    throw std::runtime_error("error writing '" + path + "'");
-  }
-}
-
-int cmd_trace(const std::string& action, const std::string& path,
-              const std::string& out_path, std::string to_format,
-              std::uint64_t first, std::uint64_t count) {
+int cmd_trace(const Options& o) {
+  const std::string& action = o.positionals[0];
+  const std::string& path = o.positionals[1];
+  const std::string& out_path = o.out;
+  std::string to_format = o.to;
   if (action != "info" && action != "convert" && action != "slice") {
     std::cerr << "unknown trace action '" << action
               << "' (info, convert, slice)\n";
-    return 2;
-  }
-  if (!to_format.empty() && to_format != "text" && to_format != "bin") {
-    std::cerr << "--to must be text or bin, got '" << to_format << "'\n";
     return 2;
   }
 
@@ -780,12 +933,12 @@ int cmd_trace(const std::string& action, const std::string& path,
   }
   traffic::Script window;
   if (bin) {
-    window = traffic::load_trace_bin_window(bytes, 0, first, count);
+    window = traffic::load_trace_bin_window(bytes, 0, o.first, o.count);
   } else {
     traffic::Script all = load_any_trace(bytes);
-    const std::uint64_t from = std::min<std::uint64_t>(first, all.size());
+    const std::uint64_t from = std::min<std::uint64_t>(o.first, all.size());
     const std::uint64_t take =
-        std::min<std::uint64_t>(count, all.size() - from);
+        std::min<std::uint64_t>(o.count, all.size() - from);
     window.assign(all.begin() + static_cast<std::ptrdiff_t>(from),
                   all.begin() + static_cast<std::ptrdiff_t>(from + take));
     for (std::size_t i = 0; i < window.size(); ++i) {
@@ -793,347 +946,110 @@ int cmd_trace(const std::string& action, const std::string& path,
     }
   }
   write_trace_file(out_path, to_format, window);
-  std::cout << "sliced records [" << first << ", " << first + window.size()
+  std::cout << "sliced records [" << o.first << ", "
+            << o.first + window.size()
             << ") of " << path << " -> " << out_path << " (" << to_format
             << ", " << window.size() << " record(s))\n";
   return 0;
 }
 
-int cmd_lint(const std::string& ref, std::uint64_t warmup_cycles,
-             bool strict) {
+int cmd_lint(const Options& o) {
   sweep::LintOptions opts;
-  opts.warmup_cycles = warmup_cycles;
-  const sweep::LintReport report = sweep::lint_ref(ref, opts);
+  opts.warmup_cycles = o.warmup_cycles;
+  const sweep::LintReport report = sweep::lint_ref(o.positionals[0], opts);
   sweep::write_report(std::cout, report);
   if (!report.ok()) {
     return 1;
   }
-  return strict && report.warnings() != 0 ? 1 : 0;
+  return o.strict && report.warnings() != 0 ? 1 : 0;
 }
+
+struct Command {
+  std::string_view name;
+  Cmd bit;
+  std::size_t positionals;
+  const char* missing;  // what the diagnostic says is missing
+  int (*handler)(const Options&);
+};
+
+const Command kCommands[] = {
+    {"list", kList, 0, "", cmd_list},
+    {"help", kHelp, 0, "", cmd_help},
+    {"show", kShow, 1, "a scenario argument", cmd_show},
+    {"run", kRun, 1, "a scenario argument", cmd_run},
+    {"checkpoint", kCheckpoint, 1, "a scenario argument", cmd_checkpoint},
+    {"resume", kResume, 1, "a scenario argument", cmd_resume},
+    {"sweep", kSweep, 1, "a scenario argument", cmd_sweep},
+    {"lint", kLint, 1, "a scenario argument", cmd_lint},
+    {"trace", kTrace, 2,
+     "an action and a file: trace info|convert|slice <file>", cmd_trace},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
+  const std::vector<std::string> args(argv + 1, argv + argc);
   if (args.empty()) {
     return usage(std::cerr, 2);
   }
-  const std::string cmd = args[0];
-
-  // Hidden entry point: `ahbp_sim farm-worker [--in FD --out FD]` is what
-  // the sweep-farm coordinator execs (farm/coordinator.hpp).  It serves one
-  // connection on the given descriptors (default stdin/stdout) and exits;
-  // it is not part of the user-facing CLI, so it bypasses the uniform
-  // option machinery below.
-  if (cmd == "farm-worker") {
-    int in_fd = 0, out_fd = 1;
-    for (std::size_t i = 1; i + 1 < args.size(); i += 2) {
-      if (args[i] == "--in") {
-        in_fd = std::atoi(args[i + 1].c_str());
-      } else if (args[i] == "--out") {
-        out_fd = std::atoi(args[i + 1].c_str());
-      } else {
-        std::cerr << "farm-worker: unknown option '" << args[i] << "'\n";
-        return 2;
-      }
-    }
-    try {
-      farm::worker_loop(in_fd, out_fd);
-      return 0;
-    } catch (const std::exception& e) {
-      std::cerr << "farm-worker: " << e.what() << "\n";
-      return 3;
-    }
-  }
-
-  // Collect options and positionals uniformly; which options each command
-  // accepts is checked afterwards so irrelevant flags error instead of
-  // being silently ignored.
-  std::vector<std::string> given_options;
-  std::vector<std::string> positionals;  // most commands take 1; trace takes 2
-  std::string model = "tlm";
-  std::string vcd_path;
-  std::string csv_path;      // sweep --csv FILE
-  std::string out_path;      // checkpoint/trace --out FILE
-  std::string capture_dir;   // run --capture-trace DIR
-  std::string capture_format = "text";  // run --trace-format text|bin
-  std::string to_format;     // trace --to text|bin (empty = action default)
-  std::string timeline_path;    // run --timeline FILE
-  std::string stats_json_path;  // run --stats-json FILE
-  unsigned items = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t at_cycle = 0;        // checkpoint --at N
-  std::uint64_t warmup_cycles = 0;   // sweep --warmup-cycles N
-  std::uint64_t first = 0;                    // trace slice --first N
-  std::uint64_t count = ~std::uint64_t{0};    // trace slice --count K
-  unsigned jobs = 1;
-  unsigned farm_workers = 0;   // sweep --farm-workers N (0 = in-process)
-  std::string register_name;   // run --register NAME
-  bool explicit_jobs = false;
-  bool csv = false, quiet = false, speed = false;
-  bool progress = false, self_profile = false, strict = false;
-  bool sensitivity = false;    // sweep --sensitivity
-  double max_cycle_error = -1.0;  // negative = gate off
-
-  const auto need_value = [&](std::size_t& i) -> std::string {
-    if (i + 1 >= args.size()) {
-      std::cerr << args[i] << " needs a value\n";
-      std::exit(2);
-    }
-    return args[++i];
-  };
-  // Digits only: stoul("-1") would wrap to a huge count and try to
-  // generate billions of transactions.
-  const auto need_unsigned = [&](std::size_t& i,
-                                 std::uint64_t max) -> std::uint64_t {
-    const std::string flag = args[i];
-    const std::string v = need_value(i);
-    if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-      std::cerr << flag << " needs a non-negative integer, got '" << v
-                << "'\n";
-      std::exit(2);
-    }
-    try {
-      const std::uint64_t x = std::stoull(v);
-      if (x > max) {
-        throw std::out_of_range(v);
-      }
-      return x;
-    } catch (const std::exception&) {
-      std::cerr << flag << " value out of range: '" << v << "'\n";
-      std::exit(2);
-    }
-  };
-
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (!a.empty() && a[0] == '-' && a != "--help" && a != "-h") {
-      given_options.push_back(a);
-    }
-    if (a == "--model") {
-      model = need_value(i);
-    } else if (a == "--items") {
-      items = static_cast<unsigned>(need_unsigned(i, 100'000'000));
-      if (items == 0) {
-        std::cerr << "--items must be nonzero (omit the flag for the"
-                     " scenario's default)\n";
-        return 2;
-      }
-    } else if (a == "--seed") {
-      seed = need_unsigned(i, ~std::uint64_t{0});
-      if (seed == 0) {
-        std::cerr << "--seed must be nonzero (omit the flag for the"
-                     " scenario's default)\n";
-        return 2;
-      }
-    } else if (a == "--vcd") {
-      vcd_path = need_value(i);
-    } else if (a == "--capture-trace") {
-      capture_dir = need_value(i);
-      if (capture_dir.empty() || capture_dir[0] == '-') {
-        std::cerr << "--capture-trace needs a directory path, got '"
-                  << capture_dir << "'\n";
-        return 2;
-      }
-    } else if (a == "--trace-format") {
-      capture_format = need_value(i);
-    } else if (a == "--to") {
-      to_format = need_value(i);
-    } else if (a == "--first") {
-      first = need_unsigned(i, ~std::uint64_t{0});
-    } else if (a == "--count") {
-      count = need_unsigned(i, ~std::uint64_t{0});
-    } else if (a == "--at") {
-      at_cycle = need_unsigned(i, ~std::uint64_t{0});
-      if (at_cycle == 0) {
-        std::cerr << "--at must be a nonzero cycle\n";
-        return 2;
-      }
-    } else if (a == "--out") {
-      out_path = need_value(i);
-    } else if (a == "--warmup-cycles") {
-      warmup_cycles = need_unsigned(i, ~std::uint64_t{0});
-    } else if (a == "--jobs") {
-      jobs = static_cast<unsigned>(need_unsigned(i, 4096));
-      explicit_jobs = true;
-    } else if (a == "--farm-workers") {
-      farm_workers = static_cast<unsigned>(need_unsigned(i, 4096));
-      if (farm_workers == 0) {
-        std::cerr << "--farm-workers must be nonzero (omit the flag for the"
-                     " in-process runner)\n";
-        return 2;
-      }
-    } else if (a == "--register") {
-      register_name = need_value(i);
-      if (register_name.empty() || register_name[0] == '-') {
-        std::cerr << "--register needs a workload name, got '"
-                  << register_name << "'\n";
-        return 2;
-      }
-    } else if (a == "--sensitivity") {
-      sensitivity = true;
-    } else if (a == "--max-cycle-error") {
-      const std::string flag = a;
-      const std::string v = need_value(i);
-      try {
-        std::size_t pos = 0;
-        max_cycle_error = std::stod(v, &pos);
-        // The negated form also rejects NaN (which would silently
-        // disable the gate: any comparison against NaN is false).
-        if (pos != v.size() || !(max_cycle_error >= 0.0) ||
-            !std::isfinite(max_cycle_error)) {
-          throw std::invalid_argument(v);
-        }
-      } catch (const std::exception&) {
-        std::cerr << flag << " needs a non-negative percentage, got '" << v
-                  << "'\n";
-        return 2;
-      }
-    } else if (a == "--csv") {
-      // `sweep --csv FILE` writes per-point outcomes; for run/resume the
-      // flag switches the on-screen report to CSV.
-      if (cmd == "sweep") {
-        csv_path = need_value(i);
-        if (!csv_path.empty() && csv_path[0] == '-') {
-          std::cerr << "sweep --csv needs a file path, got '" << csv_path
-                    << "'\n";
-          return 2;
-        }
-      } else {
-        csv = true;
-      }
-    } else if (a == "--timeline") {
-      timeline_path = need_value(i);
-      if (timeline_path.empty() || timeline_path[0] == '-') {
-        std::cerr << "--timeline needs a file path, got '" << timeline_path
-                  << "'\n";
-        return 2;
-      }
-    } else if (a == "--stats-json") {
-      stats_json_path = need_value(i);
-      if (stats_json_path.empty() || stats_json_path[0] == '-') {
-        std::cerr << "--stats-json needs a file path, got '"
-                  << stats_json_path << "'\n";
-        return 2;
-      }
-    } else if (a == "--strict") {
-      strict = true;
-    } else if (a == "--progress") {
-      progress = true;
-    } else if (a == "--self-profile") {
-      self_profile = true;
-    } else if (a == "--quiet") {
-      quiet = true;
-    } else if (a == "--speed") {
-      speed = true;
-    } else if (a == "--help" || a == "-h") {
-      return usage(std::cout, 0);
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "unknown option '" << a << "'\n";
-      return usage(std::cerr, 2);
-    } else if (positionals.size() < (cmd == "trace" ? 2u : 1u)) {
-      positionals.push_back(a);
-    } else {
-      std::cerr << "unexpected argument '" << a << "'\n";
-      return usage(std::cerr, 2);
-    }
-  }
-  const std::string positional = positionals.empty() ? "" : positionals[0];
-
-  const auto check_options =
-      [&](std::initializer_list<const char*> allowed) -> bool {
-    for (const std::string& o : given_options) {
-      bool ok = false;
-      for (const char* a : allowed) {
-        ok = ok || o == a;
-      }
-      if (!ok) {
-        std::cerr << "'" << cmd << "' does not take " << o << "\n";
-        return false;
-      }
-    }
-    return true;
-  };
-
-  try {
-    if (cmd == "list") {
-      if (!check_options({})) {
-        return 2;
-      }
-      return cmd_list();
-    }
-    if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-      return usage(std::cout, 0);
-    }
-    if (positional.empty()) {
-      std::cerr << cmd << " needs a scenario argument\n";
-      return usage(std::cerr, 2);
-    }
-    if (cmd == "show") {
-      if (!check_options({})) {
-        return 2;
-      }
-      return cmd_show(positional);
-    }
-    if (cmd == "run") {
-      if (!check_options({"--model", "--items", "--seed", "--vcd",
-                          "--capture-trace", "--trace-format", "--register",
-                          "--csv", "--quiet", "--timeline", "--stats-json",
-                          "--progress", "--self-profile"})) {
-        return 2;
-      }
-      return cmd_run(positional, model, items, seed, vcd_path, capture_dir,
-                     capture_format, register_name, csv, quiet,
-                     timeline_path, stats_json_path, progress, self_profile);
-    }
-    if (cmd == "trace") {
-      if (!check_options({"--out", "--to", "--first", "--count"})) {
-        return 2;
-      }
-      if (positionals.size() < 2) {
-        std::cerr << "trace needs an action and a file: trace"
-                     " info|convert|slice <file>\n";
-        return 2;
-      }
-      return cmd_trace(positionals[0], positionals[1], out_path, to_format,
-                       first, count);
-    }
-    if (cmd == "checkpoint") {
-      if (!check_options({"--model", "--items", "--seed", "--at", "--out"})) {
-        return 2;
-      }
-      return cmd_checkpoint(positional, model, items, seed, at_cycle,
-                            out_path);
-    }
-    if (cmd == "resume") {
-      if (!check_options({"--vcd", "--csv", "--quiet"})) {
-        return 2;
-      }
-      return cmd_resume(positional, vcd_path, csv, quiet);
-    }
-    if (cmd == "sweep") {
-      if (!check_options({"--jobs", "--farm-workers", "--model", "--csv",
-                          "--speed", "--max-cycle-error", "--warmup-cycles",
-                          "--progress", "--sensitivity"})) {
-        return 2;
-      }
-      if (farm_workers > 0 && explicit_jobs) {
-        std::cerr << "--jobs (threads) and --farm-workers (processes) are"
-                     " two parallelism modes: pick one\n";
-        return 2;
-      }
-      return cmd_sweep(positional, model, jobs, farm_workers, csv_path,
-                       speed, max_cycle_error, warmup_cycles, progress,
-                       sensitivity);
-    }
-    if (cmd == "lint") {
-      if (!check_options({"--warmup-cycles", "--strict"})) {
-        return 2;
-      }
-      return cmd_lint(positional, warmup_cycles, strict);
-    }
+  const std::string cmd =
+      args[0] == "--help" || args[0] == "-h" ? "help" : args[0];
+  const Command* command =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&cmd](const Command& c) { return c.name == cmd; });
+  if (command == std::end(kCommands)) {
     std::cerr << "unknown command '" << cmd << "'\n";
     return usage(std::cerr, 2);
+  }
+
+  // Values are checked as they are read; an option the command does not
+  // take is reported after the loop, so a bad value is reported first.
+  Options o;
+  const OptionRow* not_taken = nullptr;
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    if (a == "--help" || a == "-h") {
+      return usage(std::cout, 0);
+    }
+    if (a.empty() || a[0] != '-') {
+      if (o.positionals.size() == command->positionals) {
+        std::cerr << "unexpected argument '" << a << "'\n";
+        return usage(std::cerr, 2);
+      }
+      o.positionals.push_back(a);
+      continue;
+    }
+    const OptionRow* row = find_option(a, command->bit);
+    if (row == nullptr) {
+      std::cerr << "unknown option '" << a << "'\n";
+      return usage(std::cerr, 2);
+    }
+    std::string value;
+    if (row->kind != Kind::kFlag) {
+      if (i + 1 >= args.size()) {
+        std::cerr << a << " needs a value\n";
+        return 2;
+      }
+      value = args[++i];
+    }
+    if (!set_option(*row, value, o)) {
+      return 2;
+    }
+    if ((row->commands & command->bit) == 0 && not_taken == nullptr) {
+      not_taken = row;
+    }
+  }
+  if (o.positionals.size() < command->positionals) {
+    std::cerr << cmd << " needs " << command->missing << "\n";
+    return o.positionals.empty() ? usage(std::cerr, 2) : 2;
+  }
+  if (not_taken != nullptr) {
+    std::cerr << "'" << cmd << "' does not take " << not_taken->name << "\n";
+    return 2;
+  }
+
+  try {
+    return command->handler(o);
   } catch (const scenario::ScenarioError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
