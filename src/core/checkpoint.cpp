@@ -70,17 +70,13 @@ struct Platform::Impl {
     return bus->quiescent();
   }
 
-  /// TLM execution with temporal decoupling.  quantum <= 1 is the literal
-  /// cycle-by-cycle path (bit-exact legacy behaviour); quantum > 1 leaps
-  /// provably idle stretches — up to a quantum at a time — after the bus
-  /// and every master publish a conservative next-interesting-cycle bound,
-  /// bulk-replaying the per-cycle bookkeeping the gap owes.  Identical
-  /// simulated state either way; only wall-clock differs.
+  /// TLM execution with idle-skip: the bus and every master publish a
+  /// conservative next-interesting-cycle bound; a provably idle stretch is
+  /// leapt in one go (bulk-replaying the per-cycle bookkeeping it owes),
+  /// busy cycles are stepped one at a time.  The simulated state is
+  /// identical to cycle-by-cycle stepping (tests/test_idle_skip.cpp pins
+  /// it against a hand-built CycleKernel::run_until reference).
   sim::Cycle run_tlm(sim::Cycle quota) {
-    const sim::Cycle quantum = cfg.sim.quantum;
-    if (quantum <= 1) {
-      return kernel.run_until([this] { return tlm_done(); }, quota);
-    }
     sim::Cycle ran = 0;
     while (ran < quota && !tlm_done()) {
       const sim::Cycle now = kernel.now();
@@ -93,9 +89,8 @@ struct Platform::Impl {
       }
       if (bound > now) {
         // Every component is a proven no-op over [now, bound): leap, but
-        // never past the quantum (sync boundary) or the caller's quota.
-        const sim::Cycle cap = std::min<sim::Cycle>(quantum, quota - ran);
-        const sim::Cycle skip = std::min<sim::Cycle>(bound - now, cap);
+        // never past the caller's quota.
+        const sim::Cycle skip = std::min<sim::Cycle>(bound - now, quota - ran);
         bus->skip_idle(now, now + skip);
         kernel.skip_to(now + skip);
         ran += skip;
@@ -129,7 +124,6 @@ Platform::Platform(const PlatformConfig& cfg, ModelKind model)
     }
     im.ddrc = std::make_unique<tlm::TlmDdrc>(ddr_channel_configs(cfg),
                                              cfg.interleave, cfg.ddr_base);
-    im.ddrc->channels().set_step_threads(cfg.sim.ddr_threads);
     im.bus = std::make_unique<tlm::AhbPlusBus>(
         cfg.bus, *im.qos, *im.ddrc, n,
         cfg.enable_checkers ? &im.log : nullptr);
@@ -168,7 +162,6 @@ Platform::Platform(const PlatformConfig& cfg, ModelKind model)
             std::chrono::steady_clock::now() - e0)
             .count());
     impl_->fabric = std::make_unique<rtl::RtlFabric>(fc, std::move(scripts));
-    impl_->fabric->ddrc().channels().set_step_threads(cfg.sim.ddr_threads);
   }
 }
 

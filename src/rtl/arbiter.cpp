@@ -234,7 +234,7 @@ void RtlArbiter::do_arbitration(sim::Cycle now) {
 
 void RtlArbiter::do_takes(sim::Cycle now) {
   (void)now;  // takes are decided on sampled wires; kept for symmetry
-  if (!cfg_.write_buffer_enabled) {
+  if (!wbuf_.fifo().enabled()) {
     return;
   }
   for (unsigned m = 0; m < masters_; ++m) {

@@ -215,7 +215,7 @@ void RtlFabric::observe_edge() {
         c = obs::StallClass::kRunning;
         break;
       case RtlMaster::State::kRequest:
-        if (cfg_.bus.write_buffer_enabled &&
+        if (wbuf_->fifo().enabled() &&
             rtl_masters_[m]->pending_txn().dir == ahb::Dir::kWrite &&
             !wbuf_->can_reserve()) {
           c = obs::StallClass::kWbufFull;
@@ -249,7 +249,7 @@ void RtlFabric::observe_edge() {
       tl_->end(tl_bus_track_, cycle_);
     }
     const unsigned occ = sh_.wbuf_occupancy.read();
-    if (cfg_.bus.write_buffer_enabled && occ != tl_last_occ_) {
+    if (wbuf_->fifo().enabled() && occ != tl_last_occ_) {
       tl_last_occ_ = occ;
       tl_->counter(tl_wbuf_track_, cycle_, "occupancy", occ);
     }

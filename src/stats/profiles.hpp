@@ -87,7 +87,7 @@ struct BusProfile {
 
   /// Bulk-record `n` provably idle cycles (no requesters, not busy, no
   /// data) — equivalent to calling sample(0, false, 0) `n` times.  Used by
-  /// the quantum-skip fast path.
+  /// the TLM's idle-skip path.
   void sample_idle_n(sim::Cycle n) noexcept { cycles += n; }
 
   void save_state(state::StateWriter& w) const;

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <string>
 #include <tuple>
 
 #include "core/compare.hpp"
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
 #include "rtl/fabric.hpp"
+#include "scenario/registry.hpp"
 #include "sim/cycle_kernel.hpp"
 #include "tlm/bus.hpp"
 #include "tlm/ddrc.hpp"
@@ -192,6 +195,33 @@ TEST(Equivalence, QosMissesSimilarUnderLoad) {
   const auto r_miss = r.profile.masters[0].qos_misses;
   EXPECT_LE(t_miss, r_miss + 5);
   EXPECT_LE(r_miss, t_miss + 5);
+}
+
+/// Stats JSON with the host-dependent fields (wall time, kernel activity)
+/// zeroed: what must match when two configurations mean the same platform.
+std::string canonical_stats(SimResult r) {
+  r.wall_seconds = 0.0;
+  r.kernel_activity = 0;
+  std::ostringstream os;
+  write_stats_json(os, r);
+  return os.str();
+}
+
+TEST(Equivalence, DepthZeroWriteBufferIsBufferOff) {
+  // A zero-entry write buffer cannot hold anything: with `write_buffer =
+  // on` it must behave, and be accounted (no bypasses, no full stalls, no
+  // wbuf_full cycles), exactly like `write_buffer = off` in both models.
+  auto on0 = scenario::ScenarioRegistry::builtin().build("table1/dma-2", 60);
+  on0.bus.write_buffer_enabled = true;
+  on0.bus.write_buffer_depth = 0;
+  auto off = on0;
+  off.bus.write_buffer_enabled = false;
+
+  const SimResult t = run_tlm(on0);
+  const SimResult r = run_rtl(on0);
+  ASSERT_TRUE(t.finished && r.finished);
+  EXPECT_EQ(canonical_stats(t), canonical_stats(run_tlm(off)));
+  EXPECT_EQ(canonical_stats(r), canonical_stats(run_rtl(off)));
 }
 
 }  // namespace
